@@ -10,9 +10,9 @@ regressed beyond tolerance:
 
 * *cost counters* (``covering_calls*``, ``merge_evals*``,
   ``admin_messages``, ``settle_events*``, ``cache_misses*``,
-  ``constraint_evals*``) must not **increase** by more than
+  ``constraint_evals*``, ``count_increments*`` ...) must not **increase** by more than
   ``--counter-tolerance`` (default 5%);
-* *speedup ratios* (``covering_call_ratio``, ``merge_eval_ratio*``,
+* *speedup ratios* (``covering_call_ratio``, ``merge_eval_ratio``,
   ``constraint_eval_ratio``, ``settle_time_ratio``, ``event_ratio``)
   must not **decrease** below
   ``--ratio-tolerance`` (default 50%) of the committed value — generous
@@ -68,21 +68,17 @@ COUNTER_FIELDS = (
     "disk_records_recovered",
     "disk_snapshots_written",
     "retention_replayed",
-    # Vectorised dispatch: counter bumps and mask operations are
-    # deterministic costs — creeping back up means the bitset plane (or
-    # its shared-predicate skipping) stopped doing its job.
+    # Counting dispatch: counter bumps are a deterministic cost — creeping
+    # back up means the arity-1 fast path stopped doing its job.
     "count_increments",
-    "mask_ops",
 )
 #: extra_info fields where a *decrease* is a lost speedup.
 RATIO_FIELDS = (
     "covering_call_ratio",
     "merge_eval_ratio",
-    "merge_eval_ratio_incremental",
     "settle_time_ratio",
     "event_ratio",
     "constraint_eval_ratio",
-    "count_increment_ratio",
 )
 #: extra_info fields describing the workload; any change requires regeneration.
 #: ``backend`` names the runtime the numbers were produced on (a string,

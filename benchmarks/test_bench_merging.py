@@ -8,15 +8,14 @@ This workload reproduces the Figure 5 shape — a broker tree, overlapping
 ``ploc`` window subscriptions, then a roaming phase in which clients hop
 along a location chain (modelled as the resubscribe baseline does it:
 subscribe the shifted window, unsubscribe the old one) — under the
-``merging`` strategy in all three forwarding modes:
+``merging`` strategy in both forwarding modes:
 
-* **scratch** — re-run the greedy merge from scratch on every refresh;
-* **incremental** (PR 1) — covering tests cached, but every input change
-  still re-evaluates the union merges raw;
-* **delta** (this PR, the default) — the `MergeState` forest + bounded
-  merge-pair cache: only pairs involving changed filters are evaluated.
+* **scratch** (the oracle) — re-run the greedy merge from scratch on
+  every refresh;
+* **delta** (the default) — the `MergeState` forest + bounded merge-pair
+  cache: only pairs involving changed filters are evaluated.
 
-All modes must produce **byte-identical** routing behaviour (admin
+Both modes must produce **byte-identical** routing behaviour (admin
 message counts, routing-table sizes, deliveries).  The hard criterion is
 the deterministic count of raw merge-pair evaluations
 (``merge_stats.try_merge_calls``): the delta path must do at least 5×
@@ -46,8 +45,7 @@ ROAM_HOPS = 8
 
 MODE_CONFIGS = {
     "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
+    "delta": {"incremental_forwarding": True},
 }
 
 
@@ -128,36 +126,30 @@ def _run_roaming_workload(mode: str = "delta"):
 
 
 def test_merging_roam_speedup_and_equivalence(benchmark):
-    """Delta vs incremental vs scratch merging: fewer evals, same behaviour."""
+    """Delta vs scratch merging: fewer evals, same behaviour."""
     delta = benchmark.pedantic(_run_roaming_workload, args=("delta",), iterations=1, rounds=1)
     second = _run_roaming_workload("delta")
     delta["settle_seconds"] = min(delta["settle_seconds"], second["settle_seconds"])
-    incremental = _run_roaming_workload("incremental")
     scratch = _run_roaming_workload("scratch")
 
-    # Byte-identical routing behaviour across all three modes.
-    for baseline in (incremental, scratch):
-        assert delta["admin_messages"] == baseline["admin_messages"]
-        assert delta["table_sizes"] == baseline["table_sizes"]
-        assert delta["delivered"] == baseline["delivered"]
+    # Byte-identical routing behaviour in both modes.
+    assert delta["admin_messages"] == scratch["admin_messages"]
+    assert delta["table_sizes"] == scratch["table_sizes"]
+    assert delta["delivered"] == scratch["delivered"]
 
     eval_ratio = scratch["roam_merge_evals"] / max(delta["roam_merge_evals"], 1)
-    incremental_ratio = incremental["roam_merge_evals"] / max(delta["roam_merge_evals"], 1)
     time_ratio = scratch["settle_seconds"] / max(delta["settle_seconds"], 1e-9)
     benchmark.extra_info.update(
         {
             "subscriptions": 3 * SUBSCRIBERS_PER_LEAF,
             "roam_changes": delta["roam_changes"],
             "merge_evals_delta": delta["roam_merge_evals"],
-            "merge_evals_incremental": incremental["roam_merge_evals"],
             "merge_evals_scratch": scratch["roam_merge_evals"],
             "merge_evals_setup_delta": delta["setup_merge_evals"],
             "merge_eval_ratio": round(eval_ratio, 1),
-            "merge_eval_ratio_incremental": round(incremental_ratio, 1),
             "covering_calls_delta": delta["covering_calls"],
             "admin_messages": delta["admin_messages"],
             "settle_seconds_delta": round(delta["settle_seconds"], 4),
-            "settle_seconds_incremental": round(incremental["settle_seconds"], 4),
             "settle_seconds_scratch": round(scratch["settle_seconds"], 4),
             "settle_time_ratio": round(time_ratio, 2),
             "cache_hits_merge_pair": delta["pair_cache_stats"]["hits"],
@@ -168,10 +160,8 @@ def test_merging_roam_speedup_and_equivalence(benchmark):
     # the hard acceptance criterion is >= 5x fewer evaluations per routing
     # change than from-scratch on the roaming phase (observed ~13x; see
     # BENCH_merging.json).  The from-scratch mode is the oracle the delta
-    # path must beat; the PR 1 incremental path re-merges raw on every
-    # change too and must also be beaten clearly.
+    # path must beat.
     assert eval_ratio >= 5.0
-    assert incremental_ratio >= 3.0
     # The steady-state cost per routing change stays O(1)-ish: the whole
     # roam phase (120 subscribe/unsubscribe pairs rippling through 15
     # brokers) must average out to a handful of raw evals per change.

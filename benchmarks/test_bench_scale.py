@@ -1,22 +1,20 @@
 """Scale benchmark for the routing-change hot path.
 
 Every subscribe, unsubscribe, attach/detach and relocation step funnels
-through ``Broker.refresh_forwarding``.  Three implementations coexist
-behind ``BrokerConfig``:
+through ``Broker.refresh_forwarding``.  Two implementations coexist
+behind ``BrokerConfig.incremental_forwarding``:
 
-* **scratch** — rebuild each neighbour's desired set with an O(n²)
-  covering sweep on every refresh (~O(n³) to settle n subscriptions);
-* **incremental** (PR 1) — covering cache + per-neighbour dirty tracking
-  + reused strategy reductions, but still a Θ(n) table rescan per dirty
-  refresh;
-* **delta** (this PR, the default) — routing-table row deltas applied
-  directly to the cached per-neighbour desired dict, O(Δ) per change.
+* **scratch** (the oracle) — rebuild each neighbour's desired set with an
+  O(n²) covering sweep on every refresh (~O(n³) to settle n
+  subscriptions);
+* **delta** (the default) — routing-table row deltas applied directly to
+  the cached per-neighbour desired dict, O(Δ) per change.
 
 On top, links batch same-instant messages into one flush event each
 (``Link(batch=True)``), collapsing the event-loop cost of a refresh that
 emits k administrative messages from k events to one.
 
-All modes must produce **byte-identical routing behaviour**: the same
+Both modes must produce **byte-identical routing behaviour**: the same
 administrative message counts, the same routing-table sizes, and the
 same delivered notifications.  The workload is a deep broker tree with
 overlapping subscribers plus a roaming phase (physical relocations
@@ -43,8 +41,7 @@ ROAMING_CLIENTS = 20
 
 MODE_CONFIGS = {
     "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
+    "delta": {"incremental_forwarding": True},
 }
 
 
@@ -107,32 +104,28 @@ def _run_scale_workload(
 
 
 def test_delta_refresh_speedup_and_equivalence(benchmark):
-    """Delta vs incremental vs from-scratch: cheaper, byte-identical behaviour."""
+    """Delta vs from-scratch: cheaper, byte-identical behaviour."""
     # Take the best of two delta runs so a scheduler hiccup cannot
-    # masquerade as a regression; the baselines run once (noise only
-    # inflates them, and they are far slower to begin with).
+    # masquerade as a regression; the oracle runs once (noise only
+    # inflates it, and it is far slower to begin with).
     delta = benchmark.pedantic(_run_scale_workload, args=("delta",), iterations=1, rounds=1)
     second = _run_scale_workload("delta")
     delta["settle_seconds"] = min(delta["settle_seconds"], second["settle_seconds"])
-    incremental = _run_scale_workload("incremental")
     scratch = _run_scale_workload("scratch")
 
-    # Byte-identical routing behaviour across all three modes.
-    for baseline in (incremental, scratch):
-        assert delta["admin_messages"] == baseline["admin_messages"]
-        assert delta["table_sizes"] == baseline["table_sizes"]
-        assert delta["delivered"] == baseline["delivered"]
+    # Byte-identical routing behaviour in both modes.
+    assert delta["admin_messages"] == scratch["admin_messages"]
+    assert delta["table_sizes"] == scratch["table_sizes"]
+    assert delta["delivered"] == scratch["delivered"]
 
     call_ratio = scratch["covering_calls"] / max(delta["covering_calls"], 1)
     time_ratio = scratch["settle_seconds"] / max(delta["settle_seconds"], 1e-9)
     benchmark.extra_info.update(
         {
             "covering_calls_delta": delta["covering_calls"],
-            "covering_calls_incremental": incremental["covering_calls"],
             "covering_calls_scratch": scratch["covering_calls"],
             "covering_call_ratio": round(call_ratio, 1),
             "settle_seconds_delta": round(delta["settle_seconds"], 4),
-            "settle_seconds_incremental": round(incremental["settle_seconds"], 4),
             "settle_seconds_scratch": round(scratch["settle_seconds"], 4),
             "settle_time_ratio": round(time_ratio, 2),
             "cache_hits": delta["cache_stats"]["hits"],
@@ -146,18 +139,15 @@ def test_delta_refresh_speedup_and_equivalence(benchmark):
     # assertion is only a loose sanity floor — losing the delta path
     # entirely would read ~1× — so a loaded CI box cannot flake the suite.
     assert time_ratio >= 3.0
-    # Delta stays in the same ballpark as the PR 1 incremental path in raw
-    # covering work (both are cache-bound; they touch slightly different
-    # uncached pairs, so exact equality is not expected).
-    assert delta["covering_calls"] <= incremental["covering_calls"] * 1.25
 
 
 @pytest.mark.parametrize("subscribers_per_leaf", [70, 250, SCALE_SUBSCRIBERS_PER_LEAF])
 def test_delta_settle_scales(benchmark, subscribers_per_leaf):
     """Absolute settle cost of the delta path at increasing scale.
 
-    The largest point settles ≥2000 overlapping subscriptions — the
-    next order of magnitude beyond the PR 1 practical ceiling (~200).
+    The largest point settles ≥2000 overlapping subscriptions — an order
+    of magnitude beyond the ~200 the from-scratch refresh can settle in
+    practice.
     """
     stats = benchmark.pedantic(
         _run_scale_workload, args=("delta", subscribers_per_leaf), iterations=1, rounds=2

@@ -181,29 +181,22 @@ class BrokerConfig:
         ``ploc`` set did not change; when ``False``, propagation stops at
         the first hop whose upstream filter is unaffected (an ablation).
     incremental_forwarding:
-        When ``True`` (the default), :meth:`Broker.refresh_forwarding`
-        only recomputes a neighbour's desired forwarding set when routing
-        state relevant to that neighbour actually changed, reuses the
-        previous strategy reduction incrementally, and memoises covering
-        tests in the shared :class:`~repro.filters.covering_cache.CoveringCache`.
-        When ``False``, every refresh recomputes everything from scratch
-        (the original behaviour, kept as the benchmark baseline).  Both
-        modes produce identical messages and routing tables.
-    delta_forwarding:
-        When ``True`` (the default) *and* ``incremental_forwarding`` is
-        on *and* the strategy supports it (see
-        :attr:`~repro.routing.strategies.RoutingStrategy.delta_reduction`),
-        each neighbour's desired forwarding set is maintained **as a
-        delta-driven cache**: routing-table row changes are applied
-        directly to the cached desired dict (including cover
-        reassignment when an added/removed filter changes the minimal
-        cover selection), so a routing change costs O(affected entries)
-        instead of a Θ(table) rescan per dirty refresh.  Merging
-        strategies additionally maintain the greedy merge result through
-        an incremental merge forest backed by the bounded merge-pair
-        cache (:mod:`repro.filters.merge_state`).  When ``False``, the
-        PR 1 per-refresh incremental path is used.  All three modes
-        produce identical messages, routing tables and deliveries.
+        When ``True`` (the default), each neighbour's desired forwarding
+        set is maintained **as a delta-driven cache**
+        (:class:`~repro.broker.forwarding.NeighbourForwardingState`):
+        routing-table row changes are applied directly to the cached
+        desired dict (including cover reassignment when an added/removed
+        filter changes the minimal cover selection), so a routing change
+        costs O(affected entries) instead of a Θ(table) rescan, and
+        :meth:`Broker.refresh_forwarding` skips neighbours whose inputs
+        did not change.  Merging strategies additionally maintain the
+        greedy merge result through an incremental merge forest backed
+        by the bounded merge-pair cache (:mod:`repro.filters.merge_state`);
+        covering tests are memoised in the shared
+        :class:`~repro.filters.covering_cache.CoveringCache`.  When
+        ``False``, every refresh recomputes the strategy reduction from
+        scratch (kept as the oracle).  Both modes produce identical
+        messages, routing tables and deliveries.
     indexed_dispatch:
         When ``True`` (the default), the broker matches notifications
         through a compiled :class:`~repro.dispatch.plan.DispatchPlan`: a
@@ -213,22 +206,12 @@ class BrokerConfig:
         :class:`~repro.dispatch.plan.AdvertisementOverlapIndex` answers
         the ``_advertised_via`` gate without scanning the advertisement
         entries.  Both structures are maintained incrementally from the
-        routing tables' row-level deltas.  When ``False``, notifications
-        are matched by the routing table's candidate engine and the gate
+        routing tables' row-level deltas, and a batched link flush
+        (:meth:`Broker.receive_batch`) matches each distinct attribute
+        signature once.  When ``False``, notifications are matched one
+        by one by the routing table's candidate engine and the gate
         scans linearly (the original behaviour, kept as the byte-identical
         oracle: same deliveries, same admin traffic, same RNG order).
-    vectorised_dispatch:
-        Selects the matcher inside the ``DispatchPlan`` (only meaningful
-        with ``indexed_dispatch`` on).  When ``True`` (the default), the
-        plan matches through the
-        :class:`~repro.dispatch.counting.BitsetMatcher`: predicate→filter
-        sets compiled into big-int bitmasks, per-filter counts kept in
-        bit-sliced planes, and near-universal ("hot") predicates lifted
-        out of the counting arity (see ``docs/performance.md``,
-        "Vectorised dispatch").  When ``False``, the scalar
-        :class:`~repro.dispatch.counting.CountingMatcher` runs instead.
-        All three dispatch modes — vectorised, counting, scan — produce
-        byte-identical deliveries and traces.
     forward_retention:
         When set to an integer ``W``, every broker→broker notification
         forward is wrapped in a :class:`~repro.messages.control.
@@ -247,9 +230,7 @@ class BrokerConfig:
     counterpart_max_buffer: Optional[int] = None
     propagate_unchanged_location_updates: bool = True
     incremental_forwarding: bool = True
-    delta_forwarding: bool = True
     indexed_dispatch: bool = True
-    vectorised_dispatch: bool = True
     forward_retention: Optional[int] = None
 
 
@@ -292,11 +273,6 @@ class Broker:
     ) -> None:
         self.name = name
         self.clock = clock
-        # Historical alias: the clock used to be the Simulator instance.
-        # The broker only ever reads ``now`` from it, which any backend
-        # clock provides; tests and client code written against the old
-        # attribute keep working.
-        self.simulator = clock
         self.strategy = strategy
         self.trace = trace
         self.config = config or BrokerConfig()
@@ -393,21 +369,18 @@ class Broker:
         self._forwarded_advertisements: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
 
         # Incremental forwarding refresh: per-neighbour dirty flags driven
-        # by the routing tables' per-destination change deltas, plus the
-        # per-neighbour strategy reduction reused across refreshes.  A
-        # change to subscription rows of destination D affects the desired
-        # set of every neighbour except D; an advertisement row of
-        # destination D only gates what is forwarded *to* D.
+        # by the routing tables' per-destination change deltas.  A change
+        # to subscription rows of destination D affects the desired set of
+        # every neighbour except D; an advertisement row of destination D
+        # only gates what is forwarded *to* D.
         self._covering_cache: CoveringCache = get_covering_cache()
         self._forwarding_dirty: Dict[str, bool] = {}
-        self._selection_states: Dict[str, Any] = {}
         # Delta-driven desired sets: one NeighbourForwardingState per
         # neighbour, fed by the subscription table's row-level deltas.
-        # Active when both config flags are on and the strategy's
+        # Active when incremental forwarding is on and the strategy's
         # reduction can be maintained incrementally.
         self._delta_mode = (
             self.config.incremental_forwarding
-            and self.config.delta_forwarding
             and strategy.delta_reduction is not None
             and not strategy.floods_notifications
         )
@@ -424,10 +397,7 @@ class Broker:
         # neighbour -> (advertisement-table epoch for that neighbour,
         #               {filter key: overlap verdict}) — see _advertised_via.
         self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
-        # neighbour -> (selection list, {filter key: assigned cover});
-        # valid while the strategy returns the identical selection object.
-        self._cover_memo: Dict[str, Tuple[List[Filter], Dict[Any, Filter]]] = {}
-        # Bound for the two per-neighbour memo dicts above: they are
+        # Bound for the per-neighbour verdict dicts above: they are
         # cleared (not evicted entry-wise) when they grow past this, the
         # same policy the global CoveringCache uses.
         self._memo_limit = 65536
@@ -440,11 +410,7 @@ class Broker:
         # indexes, maintained from both tables' row-level deltas (see
         # repro.dispatch).  ``None`` selects the scan oracle.
         self._dispatch_plan: Optional[DispatchPlan] = (
-            DispatchPlan(
-                self.subscription_table,
-                self.advertisement_table,
-                vectorised=self.config.vectorised_dispatch,
-            )
+            DispatchPlan(self.subscription_table, self.advertisement_table)
             if self.config.indexed_dispatch
             else None
         )
@@ -563,11 +529,9 @@ class Broker:
         between the messages of one run (only admin traffic moves them,
         and admin messages split the run), so the reuse is exact.
         """
-        plan = self._dispatch_plan
-        if len(run) == 1 or plan is None or not plan.vectorised:
+        if len(run) == 1 or self._dispatch_plan is None:
             # Nothing to amortise (the scan oracle derives its forwarding
-            # set separately, and the pure-counting mode stays a strict
-            # per-message oracle; both keep the single-message path).
+            # set separately and stays a strict per-message oracle).
             for notification in run:
                 self.counters["notifications_received"] += 1
                 self._handle_notification(notification, from_destination)
@@ -1212,7 +1176,7 @@ class Broker:
             self.metrics.observe("dispatch_fanout", len(forward_to))
             # Per-notification counting cost, dispatch_fanout-style: how
             # many per-filter counter bumps this match performed (0 on
-            # the vectorised path and on reused batched matches).
+            # reused batched matches).
             self.metrics.observe("dispatch_count_increments", count_increments)
         retention = self.config.forward_retention
         for neighbour in sorted(forward_to):
@@ -1588,15 +1552,6 @@ class Broker:
         """The (filter, subject) pairs that should be registered at *neighbour*."""
         if self.strategy.floods_notifications:
             return {}
-        incremental = self.config.incremental_forwarding
-        if (
-            incremental
-            and self.config.use_advertisements
-            and not self.advertisement_table.has_destination(neighbour)
-        ):
-            # No advertisement was ever received from this neighbour, so
-            # the gate below rejects every entry: skip the table scan.
-            return self._assign_covers_incremental(neighbour, [])
         entries = []
         no_logical = not self._logical_states
         for entry in self.subscription_table.entries():
@@ -1624,8 +1579,6 @@ class Broker:
             if self.config.use_advertisements and not self._advertised_via(neighbour, entry.filter):
                 continue
             entries.append((entry.filter, plain_subjects))
-        if incremental:
-            return self._assign_covers_incremental(neighbour, entries)
         if not entries:
             return {}
         filters = [filter_ for filter_, _ in entries]
@@ -1639,55 +1592,6 @@ class Broker:
                 cover = filter_
             for subject in subjects:
                 desired[(cover.key(), subject)] = cover
-        return desired
-
-    def _assign_covers_incremental(
-        self, neighbour: str, entries: Sequence[Tuple[Filter, Set[str]]]
-    ) -> Dict[Tuple[Any, str], Filter]:
-        """Incremental-path equivalent of the from-scratch tail of
-        :meth:`_desired_forwarding`: reuse the previous strategy reduction
-        and memoise both covering tests and per-filter cover assignment.
-        """
-        filters = [filter_ for filter_, _ in entries]
-        selected, state = self.strategy.update_forwarding_set(
-            self._selection_states.get(neighbour), filters, cache=self._covering_cache
-        )
-        self._selection_states[neighbour] = state
-        if not entries:
-            return {}
-        # Cover assignment depends only on the selection (content *and*
-        # order), so the per-filter-key memo stays valid for as long as the
-        # strategy keeps returning the very same selection list.
-        memo = self._cover_memo.get(neighbour)
-        if memo is None or memo[0] is not selected:
-            memo = (selected, {})
-            self._cover_memo[neighbour] = memo
-        cover_by_key = memo[1]
-        covers = self._covering_cache.covers
-        selected_by_key = None
-        desired: Dict[Tuple[Any, str], Filter] = {}
-        for filter_, subjects in entries:
-            filter_key = filter_.key()
-            cover = cover_by_key.get(filter_key)
-            if cover is None:
-                if len(cover_by_key) >= self._memo_limit:
-                    cover_by_key.clear()
-                if selected_by_key is None:
-                    selected_by_key = {candidate.key(): candidate for candidate in selected}
-                cover = selected_by_key.get(filter_key)
-                if cover is None:
-                    for candidate in selected:
-                        if covers(candidate, filter_):
-                            cover = candidate
-                            break
-                if cover is None:
-                    # The strategy should always produce a cover; fall back
-                    # to forwarding the filter itself to stay correct.
-                    cover = filter_
-                cover_by_key[filter_key] = cover
-            cover_key = cover.key()
-            for subject in subjects:
-                desired[(cover_key, subject)] = cover
         return desired
 
     @staticmethod

@@ -2,11 +2,9 @@
 
 :meth:`repro.broker.base.Broker.refresh_forwarding` needs, per neighbour,
 the *desired* set of (filter, subject) pairs that should be registered
-there.  The from-scratch path rescans the whole subscription table and
-re-reduces all filters on every refresh; the PR 1 incremental path skips
-clean neighbours and reuses strategy reductions but still pays a Θ(n)
-table scan per dirty refresh.  This module removes that last scan: each
-neighbour keeps a :class:`NeighbourForwardingState` that applies the
+there.  The from-scratch path (the oracle) rescans the whole subscription
+table and re-reduces all filters on every refresh.  This module removes
+that scan: each neighbour keeps a :class:`NeighbourForwardingState` that applies the
 routing table's row-level deltas (see
 :meth:`repro.routing.table.RoutingTable.add_delta_listener`) directly to
 a cached desired dict, so a routing change costs O(affected entries), not

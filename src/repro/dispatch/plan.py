@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.dispatch.counting import BitsetMatcher, CountingMatcher
+from repro.dispatch.counting import CountingMatcher
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.filters.constraints import Constraint, Equals, InSet
 from repro.filters.filter import Filter, MatchNone
@@ -182,16 +182,11 @@ class _AdvertisementDeltaListener:
 class DispatchPlan:
     """Compiled, delta-maintained matching state for one broker."""
 
-    def __init__(self, subscription_table, advertisement_table, vectorised: bool = True) -> None:
+    def __init__(self, subscription_table, advertisement_table) -> None:
         self._subscription_table = subscription_table
         self._advertisement_table = advertisement_table
-        #: Selects the matcher compiled over the predicate index: the
-        #: bitset data plane (default) or the scalar counting oracle
-        #: (``BrokerConfig.vectorised_dispatch=False``).  Both are
-        #: maintained from the same row-level table deltas.
-        self.vectorised = vectorised
         self.index = PredicateIndex()
-        self.matcher = self._make_matcher()
+        self.matcher = CountingMatcher(self.index)
         # filter key -> {destination: RoutingEntry} (mirrors the live rows)
         self._rows: Dict[Any, Dict[str, Any]] = {}
         #: ``False`` until the first (lazy) build from the table, and again
@@ -231,16 +226,9 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     # Rebuilds (first use, and after whole-table resets)
     # ------------------------------------------------------------------
-    def _make_matcher(self):
-        """A fresh matcher over :attr:`index` (bitset or counting)."""
-        if self.vectorised:
-            return BitsetMatcher(self.index)
-        return CountingMatcher(self.index)
-
     def rebuild(self) -> None:
         """Rebuild the subscription side from one table scan."""
         self.index.clear()
-        self.matcher = self._make_matcher()
         self._rows = {}
         self.valid = True
         for row in self._subscription_table.entries():

@@ -121,19 +121,6 @@ class PredicateIndex:
         self._interval_lows: Dict[Tuple[str, str], List[Any]] = {}
         self._interval_entries: Dict[Tuple[str, str], List[Tuple[int, Constraint]]] = {}
         self._residual: Dict[str, List[Tuple[int, Constraint]]] = {}
-        # -- observers --------------------------------------------------
-        #: Matchers keeping compiled state over this index.  Notified on
-        #: *structural* changes only (a filter actually indexed or
-        #: unindexed, never a bare refcount bump) with the fid and the
-        #: pids it references, so they can invalidate exactly the touched
-        #: buckets.  ``clear()`` resets the list: compiled matchers must
-        #: be rebuilt against the fresh index.
-        self._observers: List[Any] = []
-
-    def add_observer(self, observer: Any) -> None:
-        """Register *observer* for ``filter_added(fid, pids)`` /
-        ``filter_removed(fid, pids)`` structural-change callbacks."""
-        self._observers.append(observer)
 
     def __len__(self) -> int:
         return len(self._fids)
@@ -164,8 +151,6 @@ class PredicateIndex:
             # Defensive: a Filter subclass may override ``matches``; its
             # behaviour cannot be reconstructed from its constraints.
             self.opaque_fids.add(fid)
-            for observer in self._observers:
-                observer.filter_added(fid, ())
             return True
         pids = []
         for name, constraint in filter_.constraint_items():
@@ -176,8 +161,6 @@ class PredicateIndex:
         self.fid_arity[fid] = len(pids)
         if not pids:
             self.always_fids.add(fid)
-        for observer in self._observers:
-            observer.filter_added(fid, self._fid_pids[fid])
         return True
 
     def remove(self, filter_: Filter) -> bool:
@@ -194,8 +177,7 @@ class PredicateIndex:
         del self._fids[key]
         self.always_fids.discard(fid)
         self.opaque_fids.discard(fid)
-        removed_pids = self._fid_pids[fid]
-        for pid in removed_pids:
+        for pid in self._fid_pids[fid]:
             self.pid_fids[pid].discard(fid)
             self._pid_refs[pid] -= 1
             if self._pid_refs[pid] == 0:
@@ -203,8 +185,6 @@ class PredicateIndex:
         self.fid_filter[fid] = None
         self._fid_pids[fid] = ()
         self._free_fids.append(fid)
-        for observer in self._observers:
-            observer.filter_removed(fid, removed_pids)
         return True
 
     def clear(self) -> None:

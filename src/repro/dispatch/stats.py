@@ -33,9 +33,6 @@ class DispatchStats:
         "arity1_fast_matches",
         "constraint_evals",
         "filters_matched",
-        "mask_ops",
-        "bitset_rebuilds",
-        "predicates_skipped_shared",
         "batched_groups",
         "__weakref__",
     )
@@ -60,18 +57,6 @@ class DispatchStats:
         self.constraint_evals = 0
         #: Filters reported as matching across all passes.
         self.filters_matched = 0
-        #: Whole-mask big-int operations performed by the bitset matcher
-        #: (plane carries, hot-predicate vetoes, the final combine): the
-        #: vectorised path's unit of work, each one standing in for up to
-        #: one operation *per filter* on the scalar counting path.
-        self.mask_ops = 0
-        #: Predicate masks recompiled from ``pid_fids`` (dirty buckets
-        #: only on churn; every live bucket on a full rebuild).
-        self.bitset_rebuilds = 0
-        #: Satisfied hot (near-universal) predicates lifted out of the
-        #: counting arity: each one is a bucket whose whole fan-out cost
-        #: nothing at all.
-        self.predicates_skipped_shared = 0
         #: Notification groups (same attribute signature inside one link
         #: flush) whose match result was computed once and reused.
         self.batched_groups = 0
@@ -85,9 +70,6 @@ class DispatchStats:
             "arity1_fast_matches": self.arity1_fast_matches,
             "constraint_evals": self.constraint_evals,
             "filters_matched": self.filters_matched,
-            "mask_ops": self.mask_ops,
-            "bitset_rebuilds": self.bitset_rebuilds,
-            "predicates_skipped_shared": self.predicates_skipped_shared,
             "batched_groups": self.batched_groups,
         }
 

@@ -101,10 +101,10 @@ def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
       :mod:`repro.filters.stats`);
     * ``filter_matches`` — whole-filter evaluations (the scan path's unit
       of work);
-    * ``dispatch_*`` — the counting/bitset engines' own accounting
-      (passes, satisfied predicates, count increments, mask operations,
-      shared-predicate skips, residual evaluations, filters matched; see
-      :mod:`repro.dispatch.stats`);
+    * ``dispatch_*`` — the counting engine's own accounting
+      (passes, satisfied predicates, count increments, arity-1 fast
+      matches, residual evaluations, filters matched, batched groups;
+      see :mod:`repro.dispatch.stats`);
     * ``notifications_delivered`` and
       ``dispatch_count_increments_per_delivery`` — the per-delivered-
       notification view of the counting cost (summed over *brokers*);

@@ -336,10 +336,6 @@ class RoutingTable:
         """All destinations that have at least one row, sorted."""
         return sorted(self._by_destination)
 
-    def has_destination(self, destination: str) -> bool:
-        """O(1): ``True`` when at least one row points at *destination*."""
-        return destination in self._by_destination
-
     def has_entry(self, filter_: Filter, destination: str) -> bool:
         """``True`` when an exact (filter, destination) row exists."""
         return (self._filter_key(filter_), destination) in self._entries

@@ -8,9 +8,6 @@ consult an attached model at send time with identical check order
 (scheduled windows first — no RNG draw — then the iid drop and duplicate
 decisions), which keeps the RNG stream, and therefore entire failure
 runs, byte-identical across backends.
-
-Historically this lived in :mod:`repro.sim.network`, which still
-re-exports it for compatibility.
 """
 
 from __future__ import annotations

@@ -10,9 +10,6 @@ just delivery *orders* — comparable across backends.  Wall-clock
 backends measure latency instead of modelling it and ignore these
 classes.
 
-Historically these models lived in :mod:`repro.sim.network`, which still
-re-exports them for compatibility.
-
 A :data:`LatencySpec` is the user-facing shorthand accepted by the
 runtimes and :class:`~repro.broker.network.PubSubNetwork`: a constant
 (every link), a per-edge mapping (either orientation of the edge key),

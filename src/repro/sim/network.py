@@ -19,17 +19,11 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.messages.base import Message
 from repro.runtime.faults import FaultModel
-from repro.runtime.latency import FixedLatency, LatencyModel, UniformLatency
+from repro.runtime.latency import LatencyModel
+from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 
-__all__ = [
-    "FaultModel",
-    "FixedLatency",
-    "LatencyModel",
-    "Link",
-    "UniformLatency",
-]
+__all__ = ["Link"]
 
 
 class Link:

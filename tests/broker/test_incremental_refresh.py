@@ -1,13 +1,13 @@
-"""Equivalence of the incremental and delta-driven refresh with the from-scratch path.
+"""Equivalence of the delta-driven refresh with the from-scratch path.
 
-The incremental machinery (per-neighbour dirty tracking, reused strategy
-reductions, the covering cache, the advertisement-overlap memo) and the
-delta-driven desired sets (routing-table row deltas applied directly to
-the cached per-neighbour desired dict, including cover reassignment) are
-pure optimisation: under any sequence of subscribes, unsubscribes and
-physical relocations all modes must emit the same administrative
-messages, build the same routing tables, forward the same (filter,
-subject) pairs and deliver the same notifications.
+The incremental machinery (per-neighbour dirty tracking, the covering
+cache, the advertisement-overlap memo, and the delta-driven desired sets
+— routing-table row deltas applied directly to the cached per-neighbour
+desired dict, including cover reassignment) is pure optimisation: under
+any sequence of subscribes, unsubscribes and physical relocations both
+modes must emit the same administrative messages, build the same routing
+tables, forward the same (filter, subject) pairs and deliver the same
+notifications.
 """
 
 import pytest
@@ -43,8 +43,7 @@ def _snapshot(network, clients):
 #: Forwarding-mode fixtures: BrokerConfig kwargs per mode name.
 MODES = {
     "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
+    "delta": {"incremental_forwarding": True},
 }
 
 
@@ -96,9 +95,8 @@ def _random_churn(mode: str, seed: int, strategy: str):
 @pytest.mark.parametrize("strategy", ["covering", "merging", "simple"])
 @pytest.mark.parametrize("seed", [3, 17, 99])
 def test_randomized_churn_equivalence(strategy, seed):
-    """Delta-driven, incremental and from-scratch refresh are behaviourally identical."""
+    """Delta-driven and from-scratch refresh are behaviourally identical."""
     scratch = _random_churn("scratch", seed, strategy)
-    assert _random_churn("incremental", seed, strategy) == scratch
     assert _random_churn("delta", seed, strategy) == scratch
 
 
@@ -166,7 +164,7 @@ def test_routing_table_epoch_and_listener():
     table.remove(filter_, "west", "s2")
     assert len(events) == 4
     assert table.epoch > first_epoch
-    assert not table.has_destination("west")
+    assert "west" not in table.destinations()
     # clear() publishes a whole-table change as destination None.
     table.add(filter_, "east", "s1")
     table.clear()

@@ -1,13 +1,12 @@
-"""Dispatch-mode equivalence: vectorised vs counting vs scan vs rebuild.
+"""Dispatch-mode equivalence: counting vs scan vs rebuild.
 
 The dispatch plan (``BrokerConfig.indexed_dispatch`` selecting the
-predicate index, ``BrokerConfig.vectorised_dispatch`` selecting the
-bitset matcher over the pure-counting one) must be a pure data-plane
+predicate index and counting matcher) must be a pure data-plane
 optimisation: on identical workloads, every mode must produce
 byte-identical deliveries, admin traffic, routing tables and forwarded
-sets.  The ``rebuild`` mode invalidates every broker's (vectorised)
-plan after each settle so the lazy rebuild path is exercised as heavily
-as the incremental delta maintenance.
+sets.  The ``rebuild`` mode invalidates every broker's plan after each
+settle so the lazy rebuild path is exercised as heavily as the
+incremental delta maintenance.
 """
 
 import pytest
@@ -17,20 +16,16 @@ from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
 from repro.metrics.counters import MessageCounter
 from repro.routing.strategies import make_strategy
+from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
-from repro.sim.network import FixedLatency, Link
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
 
-MODES = ("vectorised", "counting", "scan", "rebuild")
-
-
 def _mode_config(mode):
-    if mode == "scan":
-        return BrokerConfig(indexed_dispatch=False)
-    return BrokerConfig(vectorised_dispatch=(mode != "counting"))
+    return BrokerConfig(indexed_dispatch=(mode != "scan"))
 
 
 def _invalidate_plans(network):
@@ -133,9 +128,13 @@ def _run_churn(mode, seed, strategy="covering"):
 @pytest.mark.parametrize("strategy", ["covering", "merging", "flooding"])
 @pytest.mark.parametrize("seed", [3, 19])
 def test_four_mode_churn_equivalence(strategy, seed):
-    """Vectorised, counting, scan and rebuild agree on everything observable."""
+    """Counting, scan and rebuild agree on everything observable.
+
+    (The name predates the removal of a fourth, bitset-matcher mode; it
+    is kept so the test's history stays continuous.)
+    """
     scan = _run_churn("scan", seed, strategy)
-    for mode in ("vectorised", "counting", "rebuild"):
+    for mode in ("counting", "rebuild"):
         assert _run_churn(mode, seed, strategy) == scan
 
 

@@ -4,8 +4,9 @@ from repro.broker.base import Broker, BrokerConfig
 from repro.filters.filter import Filter
 from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
 from repro.routing.strategies import make_strategy
+from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
-from repro.sim.network import FixedLatency, Link
+from repro.sim.network import Link
 
 
 def _make_broker():

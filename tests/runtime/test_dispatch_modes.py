@@ -1,15 +1,15 @@
 """Dispatch-mode trace identity on every runtime backend.
 
-The vectorised data plane (bitset matching, shared-predicate skipping,
+The counting data plane (predicate index, counting matcher,
 cross-notification batching) must be invisible in every observable:
 on each backend — sim, virtual-time asyncio over memory pipes, and over
-loopback TCP — the vectorised, counting and scan modes must produce
+loopback TCP — the counting and scan modes must produce
 **byte-identical traces**, timestamps included: the same deliveries in
 the same order, the same link traversals (admin messages included), the
 same drops and publishes.  The workload mixes identical-attribute
 bursts (exercising the batched-run reuse on the sim backend) with
-varied publishes and subscription churn (exercising the dirty-bucket
-recompiles) so every stage of the vectorised path is on trial.
+varied publishes and subscription churn (exercising the index's delta
+maintenance) so every stage of the counting path is on trial.
 """
 
 import pytest
@@ -23,8 +23,7 @@ from repro.topology.builders import balanced_tree_topology
 from tests.runtime.test_backend_parity import _trace_fingerprint
 
 MODE_CONFIGS = {
-    "vectorised": {"indexed_dispatch": True, "vectorised_dispatch": True},
-    "counting": {"indexed_dispatch": True, "vectorised_dispatch": False},
+    "counting": {"indexed_dispatch": True},
     "scan": {"indexed_dispatch": False},
 }
 
@@ -42,8 +41,8 @@ def _run_workload(backend, mode):
     producer.advertise({"service": "parking"})
     clients = []
     subscriptions = []
-    # Enough sharers of the ``service == parking`` predicate to form a
-    # hot set, with overlapping secondary constraints.
+    # Many sharers of the ``service == parking`` predicate, with
+    # overlapping secondary constraints.
     for index in range(12):
         client = network.add_client("c{}".format(index), leaves[index % len(leaves)])
         subscriptions.append(
@@ -62,9 +61,8 @@ def _run_workload(backend, mode):
             {"service": "parking", "floor": rng.randint(0, 6), "seq": rng.randint(0, 999)}
         )
         network.settle()
-        # Churn between bursts: the vectorised matcher must recompile
-        # exactly the dirtied predicate buckets, with no observable
-        # difference from the per-message modes.
+        # Churn between bursts: the predicate index is maintained from
+        # row deltas, with no observable difference from the scan mode.
         client, subscription_id = subscriptions[round_ % len(subscriptions)]
         client.unsubscribe(subscription_id)
         subscriptions[round_ % len(subscriptions)] = (
@@ -82,16 +80,19 @@ def _run_workload(backend, mode):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_three_mode_trace_identity(backend):
-    """Vectorised, counting and scan leave byte-identical traces."""
+    """Counting and scan leave byte-identical traces.
+
+    (The name predates the removal of a third, bitset-matcher mode; it
+    is kept so the test's history stays continuous.)
+    """
     try:
-        vectorised = _run_workload(backend, "vectorised")
+        counting = _run_workload(backend, "counting")
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
-    for mode in ("counting", "scan"):
-        other = _run_workload(backend, mode)
-        assert other[0]["deliveries"] == vectorised[0]["deliveries"], (backend, mode)
-        assert other[0]["links"] == vectorised[0]["links"], (backend, mode)
-        assert other[0]["drops"] == vectorised[0]["drops"], (backend, mode)
-        assert other[0]["publishes"] == vectorised[0]["publishes"], (backend, mode)
-        assert other[1] == vectorised[1], (backend, mode)
-        assert other[2] == vectorised[2], (backend, mode)
+    scan = _run_workload(backend, "scan")
+    assert scan[0]["deliveries"] == counting[0]["deliveries"], backend
+    assert scan[0]["links"] == counting[0]["links"], backend
+    assert scan[0]["drops"] == counting[0]["drops"], backend
+    assert scan[0]["publishes"] == counting[0]["publishes"], backend
+    assert scan[1] == counting[1], backend
+    assert scan[2] == counting[2], backend

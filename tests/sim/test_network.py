@@ -5,10 +5,12 @@ import pytest
 from repro.messages.admin import Subscribe
 from repro.messages.notification import Notification
 from repro.filters.filter import Filter
+from repro.runtime.faults import FaultModel
+from repro.runtime.latency import FixedLatency, UniformLatency
+from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.network import FaultModel, FixedLatency, Link, UniformLatency
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
-from repro.sim.trace import TraceRecorder
 
 
 def make_notification(seq: int) -> Notification:

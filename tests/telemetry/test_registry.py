@@ -133,16 +133,16 @@ class TestCountIncrementHistogram:
         """With telemetry on, every handled notification records its
         counter-bump cost in the ``dispatch_count_increments`` histogram
         (``dispatch_fanout``-style): positive sums under the counting
-        matcher, all-zero observations under the bitset matcher — with
-        the same observation count, since the modes handle the same
-        notifications."""
+        matcher, all-zero observations under the scan oracle (which
+        bumps no counters) — with the same observation count, since the
+        modes handle the same notifications."""
 
-        def run(vectorised):
+        def run(indexed):
             network = PubSubNetwork(
                 line_topology(3),
                 strategy="covering",
                 latency=0.01,
-                config=BrokerConfig(vectorised_dispatch=vectorised),
+                config=BrokerConfig(indexed_dispatch=indexed),
                 telemetry=TelemetryConfig(sink_factory=RingBufferSink),
             )
             _run_workload(network, publishes=5)
@@ -154,13 +154,13 @@ class TestCountIncrementHistogram:
             network.close()
             return histograms
 
-        counting = run(vectorised=False)
-        vectorised = run(vectorised=True)
-        assert counting and vectorised
+        counting = run(indexed=True)
+        scan = run(indexed=False)
+        assert counting and scan
         assert sum(h["sum"] for h in counting.values()) > 0
-        assert sum(h["sum"] for h in vectorised.values()) == 0
+        assert sum(h["sum"] for h in scan.values()) == 0
         assert sum(h["count"] for h in counting.values()) == sum(
-            h["count"] for h in vectorised.values()
+            h["count"] for h in scan.values()
         )
 
 
