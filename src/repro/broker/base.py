@@ -1854,14 +1854,20 @@ class Broker:
     def _route_for_token(self, message: Message, token: str, exclude: Optional[str]) -> bool:
         """Forward *message* along the routing entries registered for *token*.
 
-        Returns ``True`` when the message was forwarded to at least one
-        neighbour or handled locally.
+        A token can hold several rows toward one destination (its own
+        filter next to the covering filter it was forwarded under), so the
+        message goes once per distinct destination: once to each
+        neighbour, and at most once into local handling.  Returns ``True``
+        when the message was forwarded to at least one neighbour or
+        handled locally.
         """
         routed = False
+        seen: Set[Optional[str]] = {exclude}
         for entry in self.subscription_table.entries_for_subject(token):
             destination = entry.destination
-            if destination == exclude:
+            if destination in seen:
                 continue
+            seen.add(destination)
             if destination in self._links:
                 self._links[destination].send(message)
                 routed = True

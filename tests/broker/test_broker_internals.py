@@ -159,6 +159,54 @@ class TestJunctionAndCounterparts:
         assert records[0].old_border == "B3"
 
 
+class TestTokenRouting:
+    """Replay / RelocationComplete follow a token's rows once per destination.
+
+    A token can hold two rows toward the same destination — its own
+    filter next to the covering filter it was forwarded under.  Sending
+    once per *row* doubled the replay at every such hop, so a client
+    received up to 2^k - 1 duplicates after a move.
+    """
+
+    def _network_with_doubled_rows(self):
+        network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
+        broker = network.broker("B2")
+        token = subscription_token("C", "s1")
+        broker.subscription_table.add(Filter({"topic": "news", "n": ("<", 5)}), "B3", token)
+        broker.subscription_table.add(Filter({"topic": "news"}), "B3", token)
+        broker.subscription_table.add(Filter({"topic": "news", "n": ("<", 5)}), "C", token)
+        broker.subscription_table.add(Filter({"topic": "news"}), "C", token)
+        return network, broker
+
+    def test_token_message_goes_once_to_each_neighbour(self):
+        from repro.messages.mobility import RelocationComplete, Replay
+
+        network, broker = self._network_with_doubled_rows()
+        link = network.links[("B1", "B2")]
+        broker.receive(Replay("C", "s1", notifications=[], origin_border="B1"), link)
+        broker.receive(RelocationComplete("C", "s1", origin_border="B1"), link)
+        network.settle()
+        forwarded = [
+            record.message_type
+            for record in network.trace.link_records
+            if record.source == "B2" and record.target == "B3"
+        ]
+        assert forwarded == ["Replay", "RelocationComplete"]
+
+    def test_token_message_is_handled_locally_at_most_once(self):
+        from repro.messages.mobility import Replay
+
+        network, broker = self._network_with_doubled_rows()
+        handled = []
+        original = broker._handle_token_message_locally
+        broker._handle_token_message_locally = lambda message, token: (
+            handled.append(token) or original(message, token)
+        )
+        replay = Replay("C", "s1", notifications=[], origin_border="B1")
+        broker.receive(replay, network.links[("B1", "B2")])
+        assert handled == ["C/s1"]
+
+
 class TestBrokerGuards:
     def test_operations_on_unattached_client_rejected(self):
         from repro.messages.notification import Notification
