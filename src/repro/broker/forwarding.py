@@ -4,8 +4,8 @@
 the *desired* set of (filter, subject) pairs that should be registered
 there.  The from-scratch path (the oracle) rescans the whole subscription
 table and re-reduces all filters on every refresh.  This module removes
-that scan: each neighbour keeps a :class:`NeighbourForwardingState` that applies the
-routing table's row-level deltas (see
+that scan: each neighbour keeps a :class:`NeighbourForwardingState` that
+applies the routing table's row-level deltas (see
 :meth:`repro.routing.table.RoutingTable.add_delta_listener`) directly to
 a cached desired dict, so a routing change costs O(affected entries), not
 O(table).

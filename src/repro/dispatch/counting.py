@@ -12,7 +12,8 @@ once per notification.
 :class:`CountingMatcher` keeps flat per-fid scratch arrays with a
 generation stamp, so a counting pass allocates nothing and never needs
 to reset the arrays.  Its equivalence with brute-force
-``Filter.matches`` is pinned in ``tests/dispatch/test_counting.py``.
+``Filter.matches`` is pinned in ``tests/dispatch/test_predicate_index.py``
+and ``tests/dispatch/test_counting.py``.
 """
 
 from __future__ import annotations

@@ -199,8 +199,8 @@ class TestTokenRouting:
         network, broker = self._network_with_doubled_rows()
         handled = []
         original = broker._handle_token_message_locally
-        broker._handle_token_message_locally = lambda message, token: (
-            handled.append(token) or original(message, token)
+        broker._handle_token_message_locally = (
+            lambda message, token: handled.append(token) or original(message, token)
         )
         replay = Replay("C", "s1", notifications=[], origin_border="B1")
         broker.receive(replay, network.links[("B1", "B2")])

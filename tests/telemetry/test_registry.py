@@ -159,9 +159,7 @@ class TestCountIncrementHistogram:
         assert counting and scan
         assert sum(h["sum"] for h in counting.values()) > 0
         assert sum(h["sum"] for h in scan.values()) == 0
-        assert sum(h["count"] for h in counting.values()) == sum(
-            h["count"] for h in scan.values()
-        )
+        assert sum(h["count"] for h in counting.values()) == sum(h["count"] for h in scan.values())
 
 
 class TestResetUnification:
