@@ -18,10 +18,10 @@ subscribe the shifted window, unsubscribe the old one) — under the
 Both modes must produce **byte-identical** routing behaviour (admin
 message counts, routing-table sizes, deliveries).  The hard criterion is
 the deterministic count of raw merge-pair evaluations
-(``merge_stats.try_merge_calls``): the delta path must do at least 5×
-fewer than from-scratch (the observed ratio is far higher; see
-``BENCH_merging.json``), enforced in CI by ``benchmarks/check_bench.py``
-via the ``merge_eval_ratio`` field.
+(``merge_try_merge_calls`` in ``network.data_plane_breakdown()``): the
+delta path must do at least 5× fewer than from-scratch (the observed
+ratio is far higher; see ``BENCH_merging.json``), enforced in CI by
+``benchmarks/check_bench.py`` via the ``merge_eval_ratio`` field.
 """
 
 import time
@@ -31,8 +31,7 @@ from repro.broker.network import PubSubNetwork
 from repro.filters.covering import covering_stats
 from repro.filters.covering_cache import get_covering_cache
 from repro.filters.merge_state import get_merge_pair_cache
-from repro.filters.merging import merge_stats
-from repro.metrics.counters import MessageCounter
+from repro.metrics.counters import MessageCounter, reset_data_plane_stats
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
@@ -59,7 +58,6 @@ def _window(start):
 def _run_roaming_workload(mode: str = "delta"):
     """Tree + ploc-window subscribers + roaming chains; behaviour + cost."""
     covering_stats.reset()
-    merge_stats.reset()
     get_covering_cache().clear()
     get_merge_pair_cache().clear()
     topology = balanced_tree_topology(depth=3, fanout=2)
@@ -85,8 +83,8 @@ def _run_roaming_workload(mode: str = "delta"):
             subscription_ids[client.client_id] = client.subscribe(_window(start))
             clients.append(client)
     network.settle()
-    setup_merge_evals = merge_stats.try_merge_calls
-    merge_stats.reset()
+    setup_merge_evals = network.data_plane_breakdown()["merge_try_merge_calls"]
+    reset_data_plane_stats(network.brokers.values())
 
     # Roaming phase: each roamer walks a chain of adjacent locations; every
     # hop slides its ploc window by one (subscribe new, unsubscribe old —
@@ -115,7 +113,7 @@ def _run_roaming_workload(mode: str = "delta"):
     return {
         "settle_seconds": settle_seconds,
         "setup_merge_evals": setup_merge_evals,
-        "roam_merge_evals": merge_stats.try_merge_calls,
+        "roam_merge_evals": network.data_plane_breakdown()["merge_try_merge_calls"],
         "roam_changes": roam_changes,
         "covering_calls": covering_stats.filter_covers_calls,
         "admin_messages": counter.breakdown().admin,

@@ -40,11 +40,11 @@ from repro.core.location_filter import (
 from repro.broker.forwarding import NeighbourForwardingState
 from repro.core.logical import LogicalSubscriptionState
 from repro.dispatch.plan import DispatchPlan
-from repro.dispatch.stats import dispatch_stats
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.attributes import canonical_key
 from repro.filters.covering import filter_covers, filters_overlap_hint
 from repro.filters.covering_cache import CoveringCache, get_covering_cache
+from repro.filters import stats as data_plane_stats
 from repro.filters.filter import Filter, MatchNone
 from repro.broker.recovery import (
     RecoveryStore,
@@ -80,20 +80,21 @@ def subscription_token(client_id: str, subscription_id: str) -> str:
 def _attributed(method):
     """Attribute data-plane stats recorded during *method* to this broker.
 
-    Entry points wrapped with this point the process-wide stats facades'
-    hot-path sinks at the broker's :class:`MetricRegistry` for the
-    duration of the call (see :meth:`MetricRegistry.activate`).  Both
+    Entry points wrapped with this point the hot-path sink
+    (:data:`repro.filters.stats.current`) at the broker's
+    :class:`MetricRegistry` sink for the duration of the call.  Both
     runtime backends execute broker code on one thread, so the
     save/restore pair nests safely when one entry point reaches another.
     """
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        saved = self.metrics.activate()
+        saved = data_plane_stats.current
+        data_plane_stats.current = self.metrics.stats
         try:
             return method(self, *args, **kwargs)
         finally:
-            MetricRegistry.restore(saved)
+            data_plane_stats.current = saved
 
     return wrapper
 
@@ -552,7 +553,7 @@ class Broker:
             else:
                 if signature not in reused_signatures:
                     reused_signatures.add(signature)
-                    dispatch_stats.current.batched_groups += 1
+                    self.metrics.stats.dispatch_batched_groups += 1
                 self._handle_notification(
                     notification, from_destination, matched_entries=cached
                 )
@@ -1127,17 +1128,21 @@ class Broker:
         every side effect are still computed per message.
         """
         attributes = notification.attributes
+        telemetry = self._telemetry
+        count_increments = 0
         plan = self._dispatch_plan
         if plan is not None:
             # One counting pass answers both questions: which neighbours
             # the notification must be forwarded to, and which local rows
             # it is delivered against.
             if matched_entries is None:
-                increments_before = dispatch_stats.current.count_increments
-                matched_entries = plan.match(attributes)
-                count_increments = dispatch_stats.current.count_increments - increments_before
-            else:
-                count_increments = 0
+                if telemetry is None:
+                    matched_entries = plan.match(attributes)
+                else:
+                    stats = self.metrics.stats
+                    increments_before = stats.dispatch_count_increments
+                    matched_entries = plan.match(attributes)
+                    count_increments = stats.dispatch_count_increments - increments_before
             if self.strategy.floods_notifications:
                 forward_to = set(self._links)
             else:
@@ -1149,7 +1154,6 @@ class Broker:
         else:
             # Scan oracle: the routing table's candidate engine, queried
             # once for the forwarding set and once for the local rows.
-            count_increments = 0
             if self.strategy.floods_notifications:
                 forward_to = set(self._links)
             else:
@@ -1161,7 +1165,6 @@ class Broker:
             matched_entries = self.subscription_table.matching_entries(attributes)
         if from_destination in forward_to:
             forward_to.discard(from_destination)
-        telemetry = self._telemetry
         if telemetry is not None:
             telemetry.span(
                 trace_id_of(notification),

@@ -23,12 +23,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.client import Client
 from repro.broker.recovery import RecoveryStore
+from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.protocols import Clock, Runtime
 from repro.runtime.trace import TraceRecorder
 from repro.telemetry import TelemetryConfig, active_telemetry_config
 from repro.telemetry.emitter import BrokerTelemetry
-from repro.telemetry.registry import scoped_data_plane_breakdown
 from repro.topology.graph import BrokerGraph
 
 #: Kept for backwards-compatible imports only; the authoritative default
@@ -367,17 +367,14 @@ class PubSubNetwork:
         """Routing-table size per broker (used by the routing ablation)."""
         return {name: broker.routing_table_size() for name, broker in self.brokers.items()}
 
-    def data_plane_breakdown(self) -> Dict[str, int]:
-        """Matching/dispatch work attributable to *this* network's brokers.
+    def data_plane_breakdown(self) -> Dict[str, float]:
+        """Data-plane work of *this* network's brokers.
 
-        Unlike the process-global
-        :func:`repro.metrics.counters.data_plane_breakdown`, this sums the
-        per-broker metric registries, so two concurrently live networks
-        never bleed into each other's numbers.
+        :func:`repro.metrics.counters.data_plane_breakdown` over the
+        network's brokers, so two concurrently live networks never bleed
+        into each other's numbers.
         """
-        return scoped_data_plane_breakdown(
-            [self.brokers[name].metrics for name in sorted(self.brokers)]
-        )
+        return data_plane_breakdown(self.brokers[name] for name in sorted(self.brokers))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PubSubNetwork(brokers={}, clients={}, t={:.3f})".format(

@@ -23,13 +23,10 @@ Gated by :attr:`repro.broker.base.BrokerConfig.indexed_dispatch`
 from repro.dispatch.counting import CountingMatcher
 from repro.dispatch.plan import AdvertisementOverlapIndex, DispatchPlan
 from repro.dispatch.predicate_index import PredicateIndex
-from repro.dispatch.stats import DispatchStats, dispatch_stats
 
 __all__ = [
     "AdvertisementOverlapIndex",
     "CountingMatcher",
     "DispatchPlan",
-    "DispatchStats",
     "PredicateIndex",
-    "dispatch_stats",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping
 
 from repro.dispatch.predicate_index import PredicateIndex
-from repro.dispatch.stats import dispatch_stats
+from repro.filters import stats as data_plane_stats
 from repro.filters.filter import Filter
 
 
@@ -82,18 +82,18 @@ class CountingMatcher:
                 counts[fid] = count
                 if count == arity:
                     matched.append(fid)
-        stats = dispatch_stats.current
+        stats = data_plane_stats.current
         if index.opaque_fids:
             fid_filter = index.fid_filter
             for fid in index.opaque_fids:
                 # A whole-filter evaluation the index could not answer
                 # from its buckets: counted like the residual evals.
-                stats.constraint_evals += 1
+                stats.dispatch_constraint_evals += 1
                 if fid_filter[fid].matches(attributes):
                     matched.append(fid)
-        stats.matches += 1
-        stats.satisfied_predicates += len(satisfied)
-        stats.count_increments += increments
-        stats.arity1_fast_matches += arity1_skips
-        stats.filters_matched += len(matched)
+        stats.dispatch_matches += 1
+        stats.dispatch_satisfied_predicates += len(satisfied)
+        stats.dispatch_count_increments += increments
+        stats.dispatch_arity1_fast_matches += arity1_skips
+        stats.dispatch_filters_matched += len(matched)
         return matched

@@ -59,8 +59,7 @@ from repro.filters.constraints import (
     LessThan,
 )
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.stats import matching_stats
-from repro.dispatch.stats import dispatch_stats
+from repro.filters import stats as data_plane_stats
 
 #: Slot kinds a predicate can be stored under (recorded for removal).
 _KIND_EQ = 0
@@ -246,8 +245,9 @@ class PredicateIndex:
                     if constraint.matches(value):
                         out.append(pid)
         if evals:
-            dispatch_stats.current.constraint_evals += evals
-            matching_stats.current.constraint_evals += evals
+            stats = data_plane_stats.current
+            stats.dispatch_constraint_evals += evals
+            stats.constraint_evals += evals
         return out
 
     # ------------------------------------------------------------------

@@ -22,8 +22,8 @@ the new algorithm, the fast consumer (Δ = 1) costs more than the slow one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
@@ -69,6 +69,9 @@ class Fig9Series:
     samples: List[Tuple[float, int]]
     delivered: int
     duplicates: int
+    #: The network's data-plane breakdown, taken before it was closed
+    #: (read by the dispatch benchmark; not part of the report).
+    data_plane: Dict[str, float] = field(default_factory=dict, repr=False)
 
     @property
     def total_messages(self) -> int:
@@ -217,12 +220,14 @@ def _run_case(
     ]
     samples = cumulative_message_series(network.trace, sample_times)
     duplicates = check_no_duplicates(network.trace, "consumer")
+    data_plane = network.data_plane_breakdown()
     network.close()
     return Fig9Series(
         label=label,
         samples=samples,
         delivered=len(consumer.received),
         duplicates=duplicates.duplicate_count,
+        data_plane=data_plane,
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.filters.constraints import Constraint, constraint_from_tuple
-from repro.filters.stats import matching_stats
+from repro.filters import stats as data_plane_stats
 
 
 class Filter:
@@ -117,7 +117,7 @@ class Filter:
         *attributes* is the name/value mapping of a notification (or a
         :class:`~repro.messages.notification.Notification`'s ``attributes``).
         """
-        stats = matching_stats.current
+        stats = data_plane_stats.current
         stats.filter_matches += 1
         for name, constraint in self._constraints.items():
             stats.constraint_evals += 1

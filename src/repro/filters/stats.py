@@ -1,32 +1,28 @@
-"""Counters of raw matching work: per-sink instances behind a process facade.
+"""Data-plane work counters: one sink per broker, one hot-path pointer.
 
-The data-plane benchmarks compare how much *raw* constraint evaluation the
-different dispatch implementations perform for the same workload: the
-linear scan path funnels through :meth:`repro.filters.filter.Filter.matches`
-(counted here), while the counting index of :mod:`repro.dispatch` only
-evaluates the residual constraints its buckets cannot answer (counted in
-:data:`repro.dispatch.stats.dispatch_stats` *and* here, so this module's
-``constraint_evals`` is the mode-independent total).
+The data-plane benchmarks compare how much *raw* matching and merging work
+the different dispatch implementations perform for the same workload.  One
+:class:`DataPlaneStats` sink holds every such counter; its field names are
+the keys of :func:`repro.metrics.counters.data_plane_breakdown`:
 
-Since the telemetry subsystem the counters are **attributable**: every
-broker owns a plain :class:`MatchingStats` sink inside its
-:class:`~repro.telemetry.registry.MetricRegistry`, and the process-wide
-:data:`matching_stats` object is an :class:`AggregatedStats` facade that
+* ``constraint_evals`` / ``filter_matches`` — raw evaluations by
+  :meth:`repro.filters.filter.Filter.matches` (the scan path's unit of
+  work) plus the residual evaluations of the counting index, so
+  ``constraint_evals`` is the mode-independent total;
+* ``dispatch_*`` — the counting engine's own accounting;
+* ``merge_try_merge_calls`` — genuine (uncached)
+  :func:`repro.filters.merging.try_merge_pair` runs.
 
-* exposes the historical read API (``constraint_evals``,
-  ``filter_matches``, :meth:`~AggregatedStats.snapshot`,
-  :meth:`~AggregatedStats.reset`) as **sums over every registered sink**
-  plus an unattributed :attr:`~AggregatedStats.base` sink, and
-* exposes :attr:`~AggregatedStats.current` — the sink hot paths write
-  to.  Broker entry points point ``current`` at their own registry's
-  sink for the duration of the call (execution is single-threaded on
-  both runtime backends), so the same increment that feeds the global
-  total also lands on the broker that performed the work.  Outside any
-  broker (direct ``Filter.matches`` calls in tests and tools) ``current``
-  is :attr:`~AggregatedStats.base`.
+Every broker owns one sink inside its
+:class:`~repro.telemetry.registry.MetricRegistry`.  Hot paths write to
+the module-level :data:`current` sink; broker entry points point it at
+their own registry's sink for the duration of the call (execution is
+single-threaded on both runtime backends, so save/restore nests safely).
+Outside any broker (direct ``Filter.matches`` calls in tests, the QoS and
+blackout checkers) :data:`current` is the :data:`unattributed` sink.
 
-Process-wide totals are therefore byte-identical to the pre-facade
-behaviour, while per-broker and per-network breakdowns become possible.
+There is no process-wide total: totals are summed over the brokers a
+caller names (:func:`repro.metrics.counters.data_plane_breakdown`).
 
 This module is a dependency leaf: it must not import anything from
 :mod:`repro.filters` so that :mod:`repro.filters.filter` can use it.
@@ -34,97 +30,54 @@ This module is a dependency leaf: it must not import anything from
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict
 
 
-class MatchingStats:
-    """Raw per-constraint evaluation counters (one sink; see module docstring)."""
+class DataPlaneStats:
+    """One sink of data-plane work counters (see module docstring)."""
 
-    __slots__ = ("constraint_evals", "filter_matches", "__weakref__")
-
-    def __init__(self) -> None:
-        self.constraint_evals = 0
-        self.filter_matches = 0
-
-    def reset(self) -> None:
-        self.constraint_evals = 0
-        self.filter_matches = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Current counter values (used by benchmarks and metrics)."""
-        return {
-            "constraint_evals": self.constraint_evals,
-            "filter_matches": self.filter_matches,
-        }
-
-
-class AggregatedStats:
-    """Facade summing a base sink and every registered per-broker sink.
-
-    Subclasses declare ``sink_type`` (the plain stats class) and
-    ``fields`` (its counter attribute names); the facade grows one read
-    property per field via :func:`_install_aggregate_properties` below.
-    Sinks are held through weak references so a dropped broker (and with
-    it its registry) silently leaves the aggregate.
-    """
-
-    sink_type = MatchingStats
-    fields = ("constraint_evals", "filter_matches")
+    __slots__ = (
+        # Raw ``Constraint.matches`` evaluations, scan and counting alike.
+        "constraint_evals",
+        # Whole-filter ``Filter.matches`` evaluations.
+        "filter_matches",
+        # Counting passes performed (one per notification per broker).
+        "dispatch_matches",
+        # Predicates satisfied across all passes (bucket/bisect hits).
+        "dispatch_satisfied_predicates",
+        # Per-filter count bumps (the inner loop of the counting pass).
+        "dispatch_count_increments",
+        # Matches decided by the arity-1 fast path: a satisfied predicate
+        # whose filter has exactly one predicate is a match immediately,
+        # with no counter bump.
+        "dispatch_arity1_fast_matches",
+        # Raw evaluations the counting index could not answer from its
+        # buckets (also counted in ``constraint_evals``).
+        "dispatch_constraint_evals",
+        # Filters reported as matching across all passes.
+        "dispatch_filters_matched",
+        # Notification groups (same attribute signature inside one link
+        # flush) whose match result was computed once and reused.
+        "dispatch_batched_groups",
+        # Genuine ``try_merge_pair`` runs (merge-cache hits excluded).
+        "merge_try_merge_calls",
+    )
 
     def __init__(self) -> None:
-        self.base = self.sink_type()
-        #: The sink hot paths write to.  Broker entry points swap this to
-        #: their own registry's sink and restore it on exit.
-        self.current = self.base
-        self._sinks: "weakref.WeakSet" = weakref.WeakSet()
-
-    def register(self, sink) -> None:
-        """Include *sink* in every aggregate read until it is collected."""
-        self._sinks.add(sink)
-
-    def unregister(self, sink) -> None:
-        """Drop *sink* from the aggregate (idempotent)."""
-        self._sinks.discard(sink)
-
-    def _total(self, field: str) -> int:
-        total = getattr(self.base, field)
-        for sink in self._sinks:
-            total += getattr(sink, field)
-        return total
-
-    def snapshot(self) -> Dict[str, int]:
-        """Summed counter values, same keys as one sink's snapshot."""
-        return {field: self._total(field) for field in self.fields}
+        self.reset()
 
     def reset(self) -> None:
-        """Zero the base sink and every registered sink."""
-        self.base.reset()
-        for sink in self._sinks:
-            sink.reset()
+        for field in DataPlaneStats.__slots__:
+            setattr(self, field, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        """Counter values keyed by breakdown name, in slot order."""
+        return {field: getattr(self, field) for field in DataPlaneStats.__slots__}
 
 
-def _install_aggregate_properties(facade_type) -> None:
-    """Give *facade_type* one summed read property per sink field."""
-    for field in facade_type.fields:
-        setattr(
-            facade_type,
-            field,
-            property(lambda self, _field=field: self._total(_field)),
-        )
+#: The sink for work done outside any broker entry point.
+unattributed = DataPlaneStats()
 
-
-class MatchingStatsAggregate(AggregatedStats):
-    """Process-wide view over every matching-stats sink."""
-
-    sink_type = MatchingStats
-    fields = MatchingStats.__slots__[:-1]  # without __weakref__
-
-
-_install_aggregate_properties(MatchingStatsAggregate)
-
-
-#: Global facade incremented (through ``.current``) by ``Filter.matches``
-#: and by the residual-constraint evaluations of the counting dispatch
-#: index; reads sum the base sink and every broker registry's sink.
-matching_stats = MatchingStatsAggregate()
+#: The sink hot paths write to; broker entry points swap it to their own
+#: registry's sink and restore it on exit.
+current = unattributed

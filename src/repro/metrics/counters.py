@@ -15,9 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dispatch.stats import dispatch_stats
-from repro.filters.merging import merge_stats
-from repro.filters.stats import matching_stats
+from repro.filters.stats import DataPlaneStats
 from repro.messages.base import MessageKind
 from repro.runtime.trace import TraceRecorder
 
@@ -75,25 +73,23 @@ class MessageCounter:
         return dict(counts)
 
 
-def reset_data_plane_stats() -> None:
-    """Reset the process-wide data-plane counters (benchmark prologue).
+def reset_data_plane_stats(brokers: Iterable[Any]) -> None:
+    """Zero the data-plane stats sinks of *brokers* (benchmark prologue).
 
-    Covers all three stat families — matching, dispatch *and* merging.
-    (Merge stats were historically left out, so a benchmark prologue
-    leaked the previous workload's ``try_merge_calls`` into the next;
-    the unified reset goes through every facade.)
+    Every field of the one sink is reset (matching, dispatch *and*
+    merging); ``broker.counters`` is left alone.
     """
-    matching_stats.reset()
-    dispatch_stats.reset()
-    merge_stats.reset()
+    for broker in brokers:
+        broker.metrics.stats.reset()
 
 
-def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
-    """Counters describing per-message *data-plane* work.
+def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, float]:
+    """Counters describing per-message *data-plane* work of *brokers*.
 
     The control-plane benchmarks gate covering-call and admin-message
     counts; this breakdown reports what each notification (and each
-    advertisement-gate query) actually cost:
+    advertisement-gate query) actually cost, summed over the registries
+    of the brokers named here (there is no process-wide total):
 
     * ``constraint_evals`` — raw constraint evaluations performed by
       ``Filter.matches`` *plus* the residual evaluations of the counting
@@ -103,23 +99,24 @@ def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
       of work);
     * ``dispatch_*`` — the counting engine's own accounting
       (passes, satisfied predicates, count increments, arity-1 fast
-      matches, residual evaluations, filters matched, batched groups;
-      see :mod:`repro.dispatch.stats`);
+      matches, residual evaluations, filters matched, batched groups);
+    * ``merge_try_merge_calls`` — genuine merge-pair evaluations;
+    * ``advert_gate_hits`` / ``advert_gate_misses`` /
+      ``advert_gate_cached_verdicts`` — per-broker
+      ``_advertised_via_cache`` memo accounting;
     * ``notifications_delivered`` and
       ``dispatch_count_increments_per_delivery`` — the per-delivered-
-      notification view of the counting cost (summed over *brokers*);
-      the raw total alone hid how the cost scaled with fan-out;
-    * ``advert_gate_hits`` / ``advert_gate_misses`` — per-broker
-      ``_advertised_via_cache`` memo accounting, summed over *brokers*.
+      notification view of the counting cost; the raw total alone hid
+      how the cost scaled with fan-out.
     """
-    out: Dict[str, float] = dict(matching_stats.snapshot())
-    for name, value in dispatch_stats.snapshot().items():
-        out["dispatch_" + name] = value
+    out: Dict[str, float] = dict.fromkeys(DataPlaneStats.__slots__, 0)
     gate_hits = 0
     gate_misses = 0
     gate_cached_verdicts = 0
     delivered = 0
     for broker in brokers:
+        for name, value in broker.metrics.stats.snapshot().items():
+            out[name] += value
         gate_hits += broker.counters.get("advert_gate_hits", 0)
         gate_misses += broker.counters.get("advert_gate_misses", 0)
         delivered += broker.counters.get("notifications_delivered", 0)

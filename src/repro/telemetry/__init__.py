@@ -39,11 +39,7 @@ from repro.telemetry.events import (
     TelemetryEvent,
     trace_id_of,
 )
-from repro.telemetry.registry import (
-    Histogram,
-    MetricRegistry,
-    scoped_data_plane_breakdown,
-)
+from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.telemetry.sinks import (
     FramedFileSink,
     RingBufferSink,
@@ -69,7 +65,6 @@ __all__ = [
     "active_telemetry_config",
     "disable_telemetry",
     "enable_telemetry",
-    "scoped_data_plane_breakdown",
     "telemetry_enabled",
     "trace_id_of",
 ]

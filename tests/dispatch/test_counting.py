@@ -113,7 +113,7 @@ class TestCrossNotificationBatching:
             subscribers.append(client)
         network.settle()
 
-        reset_data_plane_stats()
+        reset_data_plane_stats(network.brokers.values())
         for burst in range(5):
             # Identical attributes published at one instant share delivery
             # times on the broker-broker link, so one flush hands the

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dispatch.counting import CountingMatcher
 from repro.dispatch.predicate_index import PredicateIndex
+from repro.filters import stats as data_plane_stats
 from repro.filters.constraints import AnyValue, Between, Exists, NotEquals, Prefix
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
@@ -287,18 +288,19 @@ class TestArity1FastPath:
     no counter bump, no stamp — and the skip is accounted in the stats."""
 
     def test_arity1_match_skips_counter_bumps(self):
-        from repro.dispatch.stats import dispatch_stats
-
+        # Direct matcher calls outside any broker count on the
+        # unattributed sink.
+        stats = data_plane_stats.unattributed
         wide = F(service="parking")                       # arity 1
         narrow = F(service="parking", cost=("<", 3))      # arity 2
         index, matcher = make_matcher(wide, narrow)
-        dispatch_stats.reset()
+        stats.reset()
         matched = matcher.match({"service": "parking", "cost": 1})
         assert sorted(map(repr, matched)) == sorted(map(repr, [wide, narrow]))
         # The wide filter's single predicate took the fast path; only the
         # narrow filter's two predicates were counted.
-        assert dispatch_stats.arity1_fast_matches == 1
-        assert dispatch_stats.count_increments == 2
+        assert stats.dispatch_arity1_fast_matches == 1
+        assert stats.dispatch_count_increments == 2
 
     def test_arity1_filter_matches_at_most_once_per_pass(self):
         wide = F(location=("in", ["a", "b", "c"]))        # one InSet predicate

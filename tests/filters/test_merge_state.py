@@ -20,7 +20,8 @@ from repro.filters.merge_state import (
     get_merge_pair_cache,
     merge_filters_annotated,
 )
-from repro.filters.merging import merge_filters, merge_stats, try_merge_pair
+from repro.filters import stats as data_plane_stats
+from repro.filters.merging import merge_filters, try_merge_pair
 
 
 def F(**kwargs):
@@ -45,21 +46,28 @@ class TestMergePairCache:
         assert cache.stats()["misses"] == 2
 
     def test_failed_merges_are_cached(self):
+        # Direct calls outside any broker count on the unattributed sink.
+        stats = data_plane_stats.unattributed
         cache = MergePairCache()
         left, right = F(a=1), F(b=2)
+        stats.reset()
         assert cache.merge(left, right) is None
-        merge_stats.reset()
+        assert stats.merge_try_merge_calls == 1
+        stats.reset()
         assert cache.merge(left, right) is None
-        assert merge_stats.try_merge_calls == 0
+        assert stats.merge_try_merge_calls == 0
         assert cache.stats()["hits"] == 1
 
     def test_cached_result_skips_recomputation(self):
+        stats = data_plane_stats.unattributed
         cache = MergePairCache()
         left, right = _loc("a"), _loc("b")
+        stats.reset()
         cache.merge(left, right)
-        merge_stats.reset()
+        assert stats.merge_try_merge_calls == 1
+        stats.reset()
         cache.merge(left, right)
-        assert merge_stats.try_merge_calls == 0
+        assert stats.merge_try_merge_calls == 0
 
     def test_equal_keys_share_cache_entries(self):
         cache = MergePairCache()

@@ -1,8 +1,9 @@
 """The data-plane breakdown must surface matching, dispatch and gate work."""
 
 from repro.broker.base import Broker, BrokerConfig
+from repro.filters import stats as data_plane_stats
 from repro.filters.filter import Filter
-from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
+from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import make_strategy
 from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
@@ -19,30 +20,32 @@ def _make_broker():
 
 
 def test_breakdown_counts_scan_and_indexed_work():
-    reset_data_plane_stats()
-    before = data_plane_breakdown()
-    assert before["constraint_evals"] == 0
-    assert before["dispatch_matches"] == 0
-    # Scan work: a direct Filter.matches evaluation.
+    # Scan work: a direct Filter.matches evaluation outside any broker
+    # lands on the unattributed sink.
+    unattributed = data_plane_stats.unattributed
+    unattributed.reset()
     assert Filter({"service": "parking"}).matches({"service": "parking"})
+    assert unattributed.constraint_evals == 1
+    assert unattributed.filter_matches == 1
     # Indexed work: one counting pass through a broker's dispatch plan.
     broker = _make_broker()
     broker.subscription_table.add(Filter({"service": "parking"}), "N1", "s1")
+    before = data_plane_breakdown([broker])
+    assert before["constraint_evals"] == 0
+    assert before["dispatch_matches"] == 0
     from repro.messages.notification import Notification
 
-    broker._handle_notification(
-        Notification({"service": "parking"}, "p", 1), from_destination="c1"
-    )
+    # ``_dispatch`` is a broker entry point: the pass is attributed to
+    # the broker's own sink, not to the unattributed one.
+    broker._dispatch(Notification({"service": "parking"}, "p", 1), from_destination="c1")
     after = data_plane_breakdown([broker])
-    assert after["constraint_evals"] >= 1
-    assert after["filter_matches"] >= 1
+    assert unattributed.dispatch_matches == 0
     assert after["dispatch_matches"] == 1
     assert after["dispatch_satisfied_predicates"] == 1
     assert after["dispatch_filters_matched"] == 1
 
 
 def test_breakdown_exposes_advert_gate_cache():
-    reset_data_plane_stats()
     broker = _make_broker()
     broker.advertisement_table.add(Filter({"service": "parking"}), "N1", "a1")
     query = Filter({"service": "parking", "location": "a"})

@@ -1,10 +1,8 @@
-"""Per-broker metric registries, the stats facades, and network scoping."""
+"""Per-broker metric registries, the stats pointer, and network scoping."""
 
-from repro.broker.base import BrokerConfig
+from repro.broker.base import BrokerConfig, _attributed
 from repro.broker.network import PubSubNetwork
-from repro.dispatch.stats import dispatch_stats
-from repro.filters.merging import merge_stats
-from repro.filters.stats import matching_stats
+from repro.filters import stats as data_plane_stats
 from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
 from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.registry import Histogram, MetricRegistry
@@ -43,49 +41,61 @@ class TestHistogram:
 class TestMetricRegistry:
     def test_counters_gauges_histograms(self):
         registry = MetricRegistry("B")
-        try:
-            registry.inc("things")
-            registry.inc("things", 2)
-            registry.set_gauge("depth", 3)
-            registry.set_gauge("depth", 1)
-            registry.observe("fanout", 4)
-            assert registry.counters["things"] == 3
-            assert registry.gauge_snapshot() == {"depth": {"last": 1, "high": 3}}
-            assert registry.histogram_snapshot()["fanout"]["count"] == 1
-        finally:
-            registry.close()
+        registry.inc("things")
+        registry.inc("things", 2)
+        registry.set_gauge("depth", 3)
+        registry.set_gauge("depth", 1)
+        registry.observe("fanout", 4)
+        assert registry.counters["things"] == 3
+        assert registry.gauge_snapshot() == {"depth": {"last": 1, "high": 3}}
+        assert registry.histogram_snapshot()["fanout"]["count"] == 1
 
-    def test_activate_restore_nesting(self):
-        outer = MetricRegistry("outer")
-        inner = MetricRegistry("inner")
+    def test_attributed_pointer_nesting(self):
+        """Entry points swap the one ``current`` pointer and restore it on
+        exit, also when one entry point reaches another or raises."""
+
+        class Owner:
+            def __init__(self, name):
+                self.metrics = MetricRegistry(name)
+
+            @_attributed
+            def work(self, amount, nested=None):
+                data_plane_stats.current.constraint_evals += amount
+                if nested is not None:
+                    nested.work(10)
+                data_plane_stats.current.constraint_evals += amount
+
+            @_attributed
+            def fail(self):
+                data_plane_stats.current.constraint_evals += 100
+                raise RuntimeError("boom")
+
+        outer = Owner("outer")
+        inner = Owner("inner")
+        unattributed_before = data_plane_stats.unattributed.constraint_evals
+        outer.work(1, nested=inner)
+        assert outer.metrics.stats.constraint_evals == 2
+        assert inner.metrics.stats.constraint_evals == 20
+        assert data_plane_stats.current is data_plane_stats.unattributed
         try:
-            saved_outer = outer.activate()
-            matching_stats.current.constraint_evals += 1
-            saved_inner = inner.activate()
-            matching_stats.current.constraint_evals += 10
-            MetricRegistry.restore(saved_inner)
-            matching_stats.current.constraint_evals += 1
-            MetricRegistry.restore(saved_outer)
-            assert outer.matching.constraint_evals == 2
-            assert inner.matching.constraint_evals == 10
-        finally:
-            outer.close()
-            inner.close()
+            inner.fail()
+        except RuntimeError:
+            pass
+        assert inner.metrics.stats.constraint_evals == 120
+        assert data_plane_stats.current is data_plane_stats.unattributed
+        assert data_plane_stats.unattributed.constraint_evals == unattributed_before
 
     def test_queue_depth_probe_feeds_gauge_and_histogram(self):
         registry = MetricRegistry("B")
-        try:
-            probe = registry.queue_depth_probe("B->C")
-            probe(2)
-            probe(5)
-            probe(1)
-            assert registry.gauge_snapshot()["queue_depth:B->C"] == {
-                "last": 1,
-                "high": 5,
-            }
-            assert registry.histogram_snapshot()["link_queue_depth"]["count"] == 3
-        finally:
-            registry.close()
+        probe = registry.queue_depth_probe("B->C")
+        probe(2)
+        probe(5)
+        probe(1)
+        assert registry.gauge_snapshot()["queue_depth:B->C"] == {
+            "last": 1,
+            "high": 5,
+        }
+        assert registry.histogram_snapshot()["link_queue_depth"]["count"] == 3
 
 
 class TestPerNetworkScoping:
@@ -94,7 +104,6 @@ class TestPerNetworkScoping:
         global stats object, so the second network's matching work
         polluted the first's breakdown.  The per-broker registries make
         ``network.data_plane_breakdown()`` attributable per network."""
-        reset_data_plane_stats()
         network_a = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
         network_b = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
 
@@ -108,13 +117,14 @@ class TestPerNetworkScoping:
         breakdown_b = network_b.data_plane_breakdown()
         assert breakdown_b["dispatch_matches"] > breakdown_a["dispatch_matches"]
 
-        # The process-global facade still sums over everything.
-        global_breakdown = data_plane_breakdown()
+        # Totals are summed over the brokers the caller names.
+        both = data_plane_breakdown(
+            list(network_a.brokers.values()) + list(network_b.brokers.values())
+        )
         for key in ("constraint_evals", "filter_matches", "dispatch_matches"):
-            assert global_breakdown[key] == breakdown_a[key] + breakdown_b[key]
+            assert both[key] == breakdown_a[key] + breakdown_b[key]
 
     def test_broker_counter_snapshot_reconciles_with_breakdown(self):
-        reset_data_plane_stats()
         network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
         consumer = _run_workload(network, publishes=6)
         assert len(consumer.received) == 6
@@ -163,31 +173,22 @@ class TestCountIncrementHistogram:
 
 
 class TestResetUnification:
-    def test_reset_data_plane_stats_resets_merge_stats_too(self):
+    def test_reset_data_plane_stats_resets_merge_calls_too(self):
         """Pin for the historical bug: ``reset_data_plane_stats`` skipped
         the merging family, leaking ``try_merge_calls`` across benchmark
-        prologues."""
-        merge_stats.current.try_merge_calls += 3
-        matching_stats.current.constraint_evals += 1
-        dispatch_stats.current.matches += 1
-        assert merge_stats.try_merge_calls >= 3
-        reset_data_plane_stats()
-        assert merge_stats.try_merge_calls == 0
-        assert matching_stats.constraint_evals == 0
-        assert dispatch_stats.matches == 0
-
-    def test_facade_snapshot_sums_base_and_registries(self):
-        reset_data_plane_stats()
-        registry = MetricRegistry("X")
-        try:
-            matching_stats.current.constraint_evals += 2  # unattributed (base)
-            saved = registry.activate()
-            matching_stats.current.constraint_evals += 5  # attributed
-            MetricRegistry.restore(saved)
-            assert matching_stats.base.constraint_evals == 2
-            assert registry.matching.constraint_evals == 5
-            assert matching_stats.constraint_evals == 7
-            assert matching_stats.snapshot()["constraint_evals"] == 7
-        finally:
-            registry.close()
-        reset_data_plane_stats()
+        prologues.  The reset zeroes every field of the named brokers'
+        sinks, and only theirs."""
+        network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
+        _run_workload(network, publishes=2)
+        reset, untouched = network.brokers["B1"], network.brokers["B2"]
+        for broker in (reset, untouched):
+            broker.metrics.stats.merge_try_merge_calls += 3
+            broker.metrics.stats.constraint_evals += 1
+            broker.metrics.stats.dispatch_matches += 1
+        untouched_before = untouched.metrics.stats.snapshot()
+        counters_before = dict(reset.counters)
+        reset_data_plane_stats([reset])
+        assert set(reset.metrics.stats.snapshot().values()) == {0}
+        assert untouched.metrics.stats.snapshot() == untouched_before
+        # ``broker.counters`` is not a data-plane sink: left alone.
+        assert reset.counters == counters_before
